@@ -79,8 +79,8 @@ func runBenchDiff(basePath, newPath string, strict bool) error {
 		}
 		if br.OverlapNS > 0 || nr.OverlapNS > 0 {
 			// Overlap ratio: the fraction of total exchange time hidden behind
-			// interior compute by the tile pipeline. A drop means the pipeline
-			// lost effectiveness even if wall time held steady.
+			// compute. Only reports written with the removed tile pipeline
+			// carry any.
 			fmt.Printf("           overlap   %11.0f%% -> %11.0f%%\n",
 				100*br.overlapRatio(), 100*nr.overlapRatio())
 		}

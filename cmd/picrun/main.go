@@ -70,7 +70,6 @@ func main() {
 		stealTh   = flag.Float64("steal-threshold", 0, "worksteal: hunger trigger fraction (0 = default 0.25)")
 		verify    = flag.Bool("verify", true, "verify against the closed-form solution")
 		workers   = flag.Int("workers", 0, "move-phase worker goroutines per rank (0 = GOMAXPROCS/p, min 1)")
-		tile      = flag.Int("tile", 0, "tile edge in cells for the pipelined step (0 = auto, -1 = unpipelined Move+Exchange)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		timeline  = flag.String("timeline", "", "write the per-step telemetry timeline (JSONL) to this file")
@@ -130,7 +129,7 @@ func main() {
 		cfg := driver.Config{
 			Mesh: mesh, N: *n, K: *k, M: *mVert,
 			Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
-			Workers: *workers, Tile: *tile, Telemetry: *timeline != "" || *chrome != "",
+			Workers: *workers, Telemetry: *timeline != "" || *chrome != "",
 			Transport:       *transport,
 			CheckpointEvery: *ckptEvery, Recover: *recovery,
 		}
@@ -193,7 +192,7 @@ func main() {
 	cfg := driver.Config{
 		Mesh: mesh, N: *n, K: *k, M: *mVert,
 		Dist: d0, Seed: *seed, Steps: *steps, Verify: *verify,
-		Workers: *workers, Tile: *tile,
+		Workers:   *workers,
 		Telemetry: obs.sampling(), Live: live,
 		Transport:       *transport,
 		CheckpointEvery: *ckptEvery, Recover: *recovery,
@@ -377,9 +376,8 @@ func reportParallel(res *driver.Result, err error, obs obsOpts) {
 		fmt.Println()
 	}
 	for _, s := range res.PerRank {
-		fmt.Printf("  rank %2d: compute %-10v exchange %-10v overlap %-10v balance %-10v migrate %-10v particles %d\n",
+		fmt.Printf("  rank %2d: compute %-10v exchange %-10v balance %-10v migrate %-10v particles %d\n",
 			s.Rank, s.Compute.Round(time.Microsecond), s.Exchange.Round(time.Microsecond),
-			s.Overlap.Round(time.Microsecond),
 			s.Balance.Round(time.Microsecond), s.Migrate.Round(time.Microsecond), s.FinalParticles)
 	}
 	if res.Wire != nil {

@@ -105,8 +105,9 @@ func printReport(tl *telemetry.Timeline, top, rows int) {
 	}
 	if overlap > 0 {
 		// Overlap is not a phase of its own — the time is already inside
-		// compute — so it reports as the fraction of the total exchange the
-		// tile pipeline hid behind interior work.
+		// compute — so it reports as the fraction of the total exchange
+		// hidden behind compute. Only timelines recorded with the removed
+		// tile pipeline have any.
 		hidden := 100 * float64(overlap) / float64(overlap+totals[trace.Exchange])
 		fmt.Printf("  overlap   %12v  (%.0f%% of exchange hidden behind compute)\n",
 			overlap.Round(time.Microsecond), hidden)

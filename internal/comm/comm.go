@@ -266,23 +266,15 @@ type Comm struct {
 	gatherSeq  uint64
 	scatterSeq uint64
 	xchgSeq    uint64
-	// xchgOpen is set between ExchangePtrStart and ExchangePtrFinish;
-	// xchgTag is the open exchange's tag, so Finish matches the Start it
-	// pairs with even if other traffic interleaves.
-	xchgOpen bool
-	xchgTag  int
 	// Exchange neighbor schedule (see exchange.go for the contract).
 	// xchgNbrs gates the sparse path; xchgPeers/xchgMask are the active
 	// peer set (sorted comm ranks / dense membership); xchgFence counts
-	// full-ring exchanges still owed after a schedule change; xchgSparse
-	// records whether the currently open exchange ran the sparse schedule
-	// so Finish receives from exactly the set Start sent to.
-	xchgNbrs   bool
-	xchgPeers  []int
-	xchgMask   []bool
-	xchgFence  int
-	xchgSparse bool
-	// xchgSent counts messages actually posted by ExchangePtrStart on this
+	// full-ring exchanges still owed after a schedule change.
+	xchgNbrs  bool
+	xchgPeers []int
+	xchgMask  []bool
+	xchgFence int
+	// xchgSent counts messages actually posted by ExchangePtr on this
 	// communicator; xchgElided counts the nil sends the sparse schedule
 	// skipped (full ring would have sent P-1 per call).
 	xchgSent   int64

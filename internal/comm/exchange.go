@@ -48,10 +48,11 @@ const xchgFenceCalls = 2
 // payloads. Under a neighbor schedule the same argument holds restricted to
 // the set of ranks that can ever hold this rank's pointers: only neighbors
 // receive call-k payloads (non-neighbors get nothing — the panic above is
-// what makes that an invariant rather than an assumption), every rank's
-// Start k+1 follows its own Finish k, and the schedule is symmetric (i is a
-// neighbor of j iff j is a neighbor of i), so completing call k+1 means
-// hearing from every rank that might still be reading call k's buffers.
+// what makes that an invariant rather than an assumption), every rank
+// sends call k+1 only after its own call k returned, and the schedule is
+// symmetric (i is a neighbor of j iff j is a neighbor of i), so completing
+// call k+1 means hearing from every rank that might still be reading call
+// k's buffers.
 // Ownership fences only need to cover ranks that can ever hold your
 // pointers. The remaining hazard is a schedule *change* between k and k+1;
 // SetExchangeNeighbors closes it by running full-ring fence calls before a
@@ -59,17 +60,52 @@ const xchgFenceCalls = 2
 // generations of backing buffers (write gen A, exchange, write gen B,
 // exchange, overwrite gen A, ...) never overwrites a buffer a peer might
 // still read, even under chaos-mode delivery delays.
-//
-// "Completes" above means the ExchangePtrFinish half returns: ExchangePtr
-// is the composition of ExchangePtrStart (all sends — asynchronous, never
-// blocks) and ExchangePtrFinish (all receives). Splitting them lets a
-// caller initiate the exchange as soon as its outgoing payloads are ready
-// and compute while the messages are in flight; the double-buffering
-// contract is unchanged because it is defined in terms of the caller's next
-// *completed* exchange.
 func ExchangePtr[T any](c *Comm, send, recv []*T) {
-	ExchangePtrStart(c, send)
-	ExchangePtrFinish(c, send, recv)
+	p := c.Size()
+	if len(send) != p || len(recv) != p {
+		panic("comm: ExchangePtr send/recv length must equal communicator size")
+	}
+	c.xchgSeq++
+	tag := tagXchgBase - int(c.xchgSeq%1000000)
+	sparse := c.xchgNbrs && c.xchgFence == 0
+	if c.xchgFence > 0 {
+		c.xchgFence--
+	}
+	recv[c.rank] = send[c.rank]
+	if !sparse {
+		// Sends are asynchronous, so posting all of them before the first
+		// receive cannot deadlock.
+		for i := 1; i < p; i++ {
+			c.Send((c.rank+i)%p, tag, send[(c.rank+i)%p])
+		}
+		c.xchgSent += int64(p - 1)
+		for i := 1; i < p; i++ {
+			src := (c.rank - i + p) % p
+			data, _ := c.Recv(src, tag)
+			recv[src] = cast[*T](data, "ExchangePtr")
+		}
+		return
+	}
+	for dst := 0; dst < p; dst++ {
+		if send[dst] != nil && dst != c.rank && !c.xchgMask[dst] {
+			panic(fmt.Sprintf("comm: rank %d has an exchange payload for rank %d, outside the neighbor schedule %v",
+				c.rank, dst, c.xchgPeers))
+		}
+	}
+	for _, dst := range c.xchgPeers {
+		c.Send(dst, tag, send[dst])
+	}
+	c.xchgSent += int64(len(c.xchgPeers))
+	c.xchgElided += int64(p - 1 - len(c.xchgPeers))
+	for i := range recv {
+		if i != c.rank {
+			recv[i] = nil
+		}
+	}
+	for _, src := range c.xchgPeers {
+		data, _ := c.Recv(src, tag)
+		recv[src] = cast[*T](data, "ExchangePtr")
+	}
 }
 
 // SetExchangeNeighbors installs a sparse exchange schedule on this
@@ -79,7 +115,7 @@ func ExchangePtr[T any](c *Comm, send, recv []*T) {
 // install the same symmetric relation (rank i lists j iff rank j lists i) —
 // the schedules are derived independently from replicated state (an owner
 // table), so no agreement round runs here and asymmetry would deadlock
-// Finish. The slice is copied; the caller keeps ownership.
+// the exchange. The slice is copied; the caller keeps ownership.
 //
 // Fence. If any exchange has already completed on this communicator, the
 // new schedule takes effect only after two further full-ring exchanges.
@@ -108,9 +144,6 @@ func (c *Comm) SetExchangeNeighbors(peers []int) {
 			panic("comm: exchange neighbor set must be sorted and duplicate-free")
 		}
 	}
-	if c.xchgOpen {
-		panic("comm: SetExchangeNeighbors with an exchange open")
-	}
 	if cap(c.xchgMask) < p {
 		c.xchgMask = make([]bool, p)
 	}
@@ -132,9 +165,6 @@ func (c *Comm) SetExchangeNeighbors(peers []int) {
 // ClearExchangeNeighbors reverts to the full-ring schedule (effective
 // immediately: the full ring is always safe to widen to).
 func (c *Comm) ClearExchangeNeighbors() {
-	if c.xchgOpen {
-		panic("comm: ClearExchangeNeighbors with an exchange open")
-	}
 	c.xchgNbrs = false
 	c.xchgFence = 0
 	for _, r := range c.xchgPeers {
@@ -158,79 +188,4 @@ func (c *Comm) ExchangeNeighbors() []int {
 // schedule elided relative to the full ring (nil sends never posted).
 func (c *Comm) ExchangeMsgStats() (sent, elided int64) {
 	return c.xchgSent, c.xchgElided
-}
-
-// ExchangePtrStart initiates an exchange: it posts the send to every rank
-// in the active schedule (Send is asynchronous, so Start never blocks) and
-// marks the exchange open. Exactly one ExchangePtrFinish must follow on
-// this communicator before any other exchange starts; the payloads handed
-// over — including send itself — must not be mutated until that Finish
-// returns.
-func ExchangePtrStart[T any](c *Comm, send []*T) {
-	p := c.Size()
-	if len(send) != p {
-		panic("comm: ExchangePtr send length must equal communicator size")
-	}
-	if c.xchgOpen {
-		panic("comm: ExchangePtrStart with a previous exchange still open")
-	}
-	c.xchgSeq++
-	c.xchgTag = tagXchgBase - int(c.xchgSeq%1000000)
-	c.xchgOpen = true
-	sparse := c.xchgNbrs && c.xchgFence == 0
-	if c.xchgFence > 0 {
-		c.xchgFence--
-	}
-	c.xchgSparse = sparse
-	if !sparse {
-		for i := 1; i < p; i++ {
-			c.Send((c.rank+i)%p, c.xchgTag, send[(c.rank+i)%p])
-		}
-		c.xchgSent += int64(p - 1)
-		return
-	}
-	for dst := 0; dst < p; dst++ {
-		if send[dst] != nil && dst != c.rank && !c.xchgMask[dst] {
-			panic(fmt.Sprintf("comm: rank %d has an exchange payload for rank %d, outside the neighbor schedule %v",
-				c.rank, dst, c.xchgPeers))
-		}
-	}
-	for _, dst := range c.xchgPeers {
-		c.Send(dst, c.xchgTag, send[dst])
-	}
-	c.xchgSent += int64(len(c.xchgPeers))
-	c.xchgElided += int64(p - 1 - len(c.xchgPeers))
-}
-
-// ExchangePtrFinish completes the exchange opened by ExchangePtrStart:
-// recv[j] is filled with the pointer received from rank j (and recv[rank]
-// with send[rank], transferred locally). Under a sparse schedule recv[j] is
-// nil for every non-neighbor j. send must be the same slice passed to
-// Start.
-func ExchangePtrFinish[T any](c *Comm, send, recv []*T) {
-	p := c.Size()
-	if len(send) != p || len(recv) != p {
-		panic("comm: ExchangePtr send/recv length must equal communicator size")
-	}
-	if !c.xchgOpen {
-		panic("comm: ExchangePtrFinish without a matching ExchangePtrStart")
-	}
-	c.xchgOpen = false
-	if c.xchgSparse {
-		for i := range recv {
-			recv[i] = nil
-		}
-		recv[c.rank] = send[c.rank]
-		for _, src := range c.xchgPeers {
-			data, _ := c.Recv(src, c.xchgTag)
-			recv[src] = cast[*T](data, "ExchangePtr")
-		}
-		return
-	}
-	recv[c.rank] = send[c.rank]
-	for i := 1; i < p; i++ {
-		src := (c.rank - i + p) % p
-		data, _ := c.Recv(src, c.xchgTag)
-		recv[src] = cast[*T](data, "ExchangePtr")
-	}
 }

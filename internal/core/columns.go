@@ -139,14 +139,6 @@ func (l *Leavers) Add(w int, i, dst int32) {
 	l.dst[w] = append(l.dst[w], dst)
 }
 
-// Chunks returns the active chunk count of the last pass.
-func (l *Leavers) Chunks() int { return l.n }
-
-// Chunk returns chunk w's (index, destination) lists. The tile-pipelined
-// step reads them to assert invariants (interior leavers must stay local)
-// before handing the list to ScatterRemove.
-func (l *Leavers) Chunk(w int) (idx, dst []int32) { return l.idx[w], l.dst[w] }
-
 // Count returns the total number of recorded leavers.
 func (l *Leavers) Count() int {
 	n := 0

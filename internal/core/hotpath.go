@@ -213,9 +213,6 @@ type MovePool struct {
 	ot   *OwnerTable
 	self int32
 	lv   *Leavers
-	// Range restriction of the job: chunk mode splits [rLo, rHi) into even
-	// static chunks instead of the whole container.
-	rLo, rHi int
 	// Tile-queue extension of the job: when tiles is set the workers claim
 	// tiles [tLo, tHi) dynamically off the shared cursor instead of taking
 	// static chunks — tile t covers particles [tStarts[t], tStarts[t+1])
@@ -254,8 +251,7 @@ func (p *MovePool) worker(w int, wake <-chan struct{}) {
 		if p.tiles {
 			p.runTiles()
 		} else {
-			lo, hi := chunkBounds(p.rHi-p.rLo, p.workers, w)
-			lo, hi = lo+p.rLo, hi+p.rLo
+			lo, hi := chunkBounds(p.s.Len(), p.workers, w)
 			if p.lv != nil {
 				moveClassifyRange(p.s, lo, hi, p.src, p.m, p.ot, p.self, p.lv, w)
 			} else {
@@ -290,7 +286,6 @@ func (p *MovePool) Move(s *SoA, src ChargeSource, m grid.Mesh) {
 		return
 	}
 	p.s, p.src, p.m = s, src, m
-	p.rLo, p.rHi = 0, s.Len()
 	p.tiles = false
 	p.busy.Add(p.workers)
 	for _, ch := range p.wake {
@@ -308,24 +303,14 @@ func (p *MovePool) Move(s *SoA, src ChargeSource, m grid.Mesh) {
 // the call performs zero heap allocations once lv reached its high-water
 // capacity, and results are bitwise identical at any worker count.
 func (p *MovePool) MoveClassify(s *SoA, src ChargeSource, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers) {
-	p.MoveClassifyRange(s, 0, s.Len(), src, m, ot, self, lv)
-}
-
-// MoveClassifyRange is MoveClassify restricted to particles [lo, hi). The
-// leaver chunks cover only the range, in ascending index order, so they
-// still feed SoA.ScatterRemove directly; particles outside the range are
-// untouched. The tile-pipelined step uses it for the per-wave moves of the
-// VP substrate (frontier tail first, interior head after).
-func (p *MovePool) MoveClassifyRange(s *SoA, lo, hi int, src ChargeSource, m grid.Mesh, ot *OwnerTable, self int32, lv *Leavers) {
-	if p.workers == 1 || hi-lo < parallelThreshold {
+	if p.workers == 1 || s.Len() < parallelThreshold {
 		lv.Reset(1)
-		moveClassifyRange(s, lo, hi, src, m, ot, self, lv, 0)
+		moveClassifyRange(s, 0, s.Len(), src, m, ot, self, lv, 0)
 		return
 	}
 	lv.Reset(p.workers)
 	p.s, p.src, p.m = s, src, m
 	p.ot, p.self, p.lv = ot, self, lv
-	p.rLo, p.rHi = lo, hi
 	p.tiles = false
 	p.busy.Add(p.workers)
 	for _, ch := range p.wake {
@@ -335,8 +320,10 @@ func (p *MovePool) MoveClassifyRange(s *SoA, lo, hi int, src ChargeSource, m gri
 	p.s, p.src, p.ot, p.lv = nil, nil, nil, nil
 }
 
-// MoveClassifyTiles is the tile-queue mode of the fused move+classify:
-// workers dynamically claim tiles [tLo, tHi) — tile t covering the sorted
+// MoveClassifyTiles is the tile-queue mode of the fused move+classify. Its
+// only caller is the benchmark's per-layer ladder (perfbench), which times
+// it as one rung; the drivers step with MoveClassify. Workers dynamically
+// claim tiles [tLo, tHi) — tile t covering the sorted
 // particle range [starts[t], starts[t+1]) — off a shared cursor, finishing
 // busy tiles without idling on static chunk boundaries. Leavers land in
 // chunk t-tLo regardless of the claiming worker, and tiles are ascending

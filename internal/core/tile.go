@@ -1,27 +1,27 @@
 package core
 
-// This file is the spatial side of the tile-pipelined step: a Frontier mask
+// This file holds the spatial tiling of a rank's cells: a Frontier mask
 // marking every cell from which one move could reach remotely-owned
-// territory, and a TilePlan splitting a rank's (or VP's) cell rectangle into
-// boundary tiles (frontier cells) and interior tiles (everything else).
+// territory, a TilePlan splitting a rank's (or VP's) cell rectangle into
+// boundary tiles (frontier cells) and interior tiles (everything else), and
+// SortByTile grouping particles by tile. The drivers do not use them: their
+// step is MoveClassify followed by the exchange, because in-process there is
+// no exchange latency worth hiding and a per-step tile sort costs about a
+// quarter of the move (DESIGN.md §5 item 7). The only caller is the
+// benchmark's per-layer ladder (perfbench), which times the tile sort and
+// the tile-queue move as layers of their own.
 //
-// The pipeline they enable: particles are sorted by tile each step, the
-// boundary tiles move first and their leavers go on the wire immediately,
-// and the interior tiles move while that exchange is in flight. The split
-// is sound because the kernel's trajectories have an exact per-step
-// displacement bound — (2K+1) cells in x and |M| cells in y (verify.go's
-// closed form: both half-steps advance Dir·(2K+1) in x, and VY is constant
-// M) — so a particle in a cell farther than that from any remote cell
-// cannot leave this step. The driver still classifies interior particles
-// and hard-errors if one tries to leave, so a wrong ring width is a loud
-// failure, never silent corruption.
+// The boundary/interior split is sound because the kernel's trajectories
+// have an exact per-step displacement bound — (2K+1) cells in x and |M|
+// cells in y (verify.go's closed form: both half-steps advance Dir·(2K+1)
+// in x, and VY is constant M) — so a particle in a cell farther than that
+// from any remote cell cannot leave this step.
 
 // Frontier is a dense per-cell mask over the full L×L domain: true means a
 // particle in that cell could reach a cell with a remote owner in one step.
 // It is the remote-owner mask dilated by the displacement ring (rx cells in
-// x, ry in y), with wraparound. Rebuild it whenever ownership placement
-// changes (a decomposition shift, a VP migration) — the mask is L² bools,
-// so a rebuild on the rare balancing step is cheap.
+// x, ry in y), with wraparound; rebuild it whenever ownership placement
+// changes. Its only caller is the benchmark's per-layer ladder.
 type Frontier struct {
 	L    int
 	mask []bool
@@ -105,7 +105,8 @@ func wrapCell(c, L int) int {
 // is what lets the exchange scatter touch only the tail of the SoA.
 //
 // Every cell of the rectangle belongs to exactly one tile
-// (TestTilePlanCoversEveryCellOnce pins this for assorted shapes).
+// (TestTilePlanCoversEveryCellOnce pins this for assorted shapes). Its only
+// caller is the benchmark's per-layer ladder.
 type TilePlan struct {
 	x0, y0, nx, ny int
 	// tileOf maps local cell (cy-y0)*nx + (cx-x0) to its tile id.
@@ -204,6 +205,8 @@ func (tp *TilePlan) TileOf(cx, cy int) int32 {
 // length ≥ nt and is clobbered. dst is resized to src's length; with
 // caller-reused buffers the sort allocates nothing once capacities reach
 // their high-water marks.
+// Its only caller is the benchmark's per-layer ladder, which times it as
+// the tile-sort layer.
 func SortByTile(dst, src *SoA, tid []int32, nt int, starts, cur []int32) {
 	n := src.Len()
 	dst.Resize(n)

@@ -206,8 +206,8 @@ func TestMoveClassifyTilesMatchesMoveClassify(t *testing.T) {
 	var refLv Leavers
 	refPool.MoveClassify(ref, block, m, ot, self, &refLv)
 	refLeft := make(map[uint64]int32)
-	for w := 0; w < refLv.Chunks(); w++ {
-		idx, dst := refLv.Chunk(w)
+	for w := 0; w < refLv.n; w++ {
+		idx, dst := refLv.idx[w], refLv.dst[w]
 		for j := range idx {
 			refLeft[ref.Meta[idx[j]].ID] = dst[j]
 		}
@@ -219,8 +219,8 @@ func TestMoveClassifyTilesMatchesMoveClassify(t *testing.T) {
 		var lv Leavers
 		gotLeft := make(map[uint64]int32)
 		collect := func() {
-			for w := 0; w < lv.Chunks(); w++ {
-				idx, dst := lv.Chunk(w)
+			for w := 0; w < lv.n; w++ {
+				idx, dst := lv.idx[w], lv.dst[w]
 				for j := range idx {
 					gotLeft[got.Meta[idx[j]].ID] = dst[j]
 				}

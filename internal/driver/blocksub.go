@@ -57,19 +57,6 @@ type blockSubstrate struct {
 	peerBytes, peerMsgs []int64
 	nbr                 core.NbrSet
 
-	// Tile pipeline state (tileSize == 0 means the pipeline is disabled and
-	// MoveExchange falls back to the sequential Move + Exchange). frontier
-	// and plan are rebuilt whenever the decomposition changes; tid, tstarts,
-	// tcur and soaScratch are the reused per-step tile-sort buffers.
-	tileSize   int
-	rx, ry     int
-	frontier   core.Frontier
-	plan       core.TilePlan
-	tid        []int32
-	tstarts    []int32
-	tcur       []int32
-	soaScratch *core.SoA
-
 	// Reused steady-state scratch: load histograms and the verification
 	// AoS conversion buffer.
 	hist, rhist []int64
@@ -102,40 +89,21 @@ func newBlockSubstrate(c *comm.Comm, cfg Config, px, py int) (*blockSubstrate, e
 	}
 	s.soa = core.NewSoA(ps)
 	s.pool = core.NewMovePool(cfg.effectiveWorkers(c.Size()))
-	s.tileSize = cfg.effectiveTile()
-	s.rx, s.ry = cfg.ringWidths()
 	s.peerBytes = make([]int64, c.Size())
 	s.peerMsgs = make([]int64, c.Size())
-	if s.tileSize > 0 {
-		s.soaScratch = &core.SoA{}
-	}
 	s.rebuildTopology()
 	return s, nil
 }
 
-// rebuildTopology recomputes everything derived from the owner table: the
-// frontier mask and tile plan (when the pipeline is on) and the sparse
-// exchange schedule. Called at construction, after every Execute (the cuts
-// moved, so the remote-owner mask, the rank rectangle, and the reachable
-// peer set all changed) and after a checkpoint restore. Installing the
-// schedule mid-run arms comm's full-ring fence, which is exactly what the
-// follow-up rehome exchange needs (it can route particles outside both the
-// old and the new neighbor sets).
+// rebuildTopology recomputes the sparse exchange schedule from the owner
+// table. Called at construction, after every Execute (the cuts moved, so
+// the reachable peer set changed) and after a checkpoint restore.
+// Installing the schedule mid-run arms comm's full-ring fence, which is
+// exactly what the follow-up rehome exchange needs (it can route particles
+// outside both the old and the new neighbor sets).
 func (s *blockSubstrate) rebuildTopology() {
-	self := int32(s.c.Rank())
-	if s.tileSize > 0 {
-		s.frontier.Rebuild(s.ot, s.cfg.Mesh.L, s.rx, s.ry, func(o int32) bool { return o != self })
-		x0, y0, nx, ny := s.g.RankRect(s.c.Rank())
-		s.plan.Build(&s.frontier, x0, y0, nx, ny, s.tileSize)
-		nt := s.plan.NumTiles()
-		if cap(s.tstarts) < nt+1 {
-			s.tstarts = make([]int32, nt+1)
-			s.tcur = make([]int32, nt)
-		}
-		s.tstarts = s.tstarts[:nt+1]
-		s.tcur = s.tcur[:nt]
-	}
-	peers := s.nbr.Rebuild(s.ot, s.cfg.Mesh.L, s.rx, s.ry, s.c.Rank(), s.c.Size(),
+	rx, ry := s.cfg.ringWidths()
+	peers := s.nbr.Rebuild(s.ot, s.cfg.Mesh.L, rx, ry, s.c.Rank(), s.c.Size(),
 		func(o int32) int { return int(o) })
 	s.c.SetExchangeNeighbors(peers)
 }
@@ -240,87 +208,6 @@ func (s *blockSubstrate) appendArrivals() {
 	}
 }
 
-// MoveExchange implements Substrate: the tile-pipelined step. Particles are
-// sorted by tile (interior tiles first, boundary tiles in one contiguous
-// tail), the boundary tiles move and classify first, their leavers scatter
-// into the outgoing shards and the exchange STARTS — then the interior
-// tiles move while the shards are in flight, and only then does the
-// exchange FINISH. The interior wave's wall time is credited as overlap:
-// exchange latency the pipeline hid behind compute.
-//
-// Correctness: the frontier ring is the exact per-step displacement bound,
-// so no interior particle can leave the rank this step — but the interior
-// wave still classifies, and a leaver there is a hard error rather than a
-// silent mishoming. Order of operations is safe because the boundary tail
-// is compacted before the interior wave starts (interior indices never
-// shift: all leaver indices sit in the tail), and arrivals append only
-// after both waves. Results are bitwise identical to the sequential path:
-// particle updates are independent, so the split changes only the order in
-// which they run.
-func (s *blockSubstrate) MoveExchange(rec *trace.Recorder) error {
-	if s.tileSize == 0 {
-		start := time.Now()
-		s.Move()
-		rec.Add(trace.Compute, time.Since(start))
-		return s.Exchange(rec)
-	}
-	mesh, me, p := s.cfg.Mesh, s.c.Rank(), s.c.Size()
-	nt, ni := s.plan.NumTiles(), s.plan.NumInterior()
-
-	// Tile sort + wave 1 (boundary tiles, dynamically claimed).
-	t0 := time.Now()
-	soa := s.soa
-	n := soa.Len()
-	if cap(s.tid) < n {
-		s.tid = make([]int32, n)
-	}
-	tid := s.tid[:n]
-	for i := 0; i < n; i++ {
-		cx, cy := mesh.CellOf(soa.X[i], soa.Y[i])
-		tid[i] = s.plan.TileOf(cx, cy)
-	}
-	core.SortByTile(s.soaScratch, soa, tid, nt, s.tstarts, s.tcur)
-	s.soa, s.soaScratch = s.soaScratch, s.soa
-	s.pool.MoveClassifyTiles(s.soa, s.block, mesh, s.ot, int32(me), &s.lv, s.tstarts, ni, nt)
-	rec.Add(trace.Compute, time.Since(t0))
-
-	// Scatter the boundary leavers and put them on the wire.
-	t1 := time.Now()
-	shards := s.shards.next(p)
-	s.soa.ScatterRemove(&s.lv, shards)
-	s.stageSendShards(shards)
-	var wireBase int64
-	onWire := s.c.OnWire()
-	if onWire {
-		wireBase = s.c.TransportBytes()
-	}
-	comm.ExchangePtrStart(s.c, s.sendPtrs)
-	rec.Add(trace.Exchange, time.Since(t1))
-
-	// Wave 2: interior tiles, overlapped with the in-flight exchange.
-	t2 := time.Now()
-	s.pool.MoveClassifyTiles(s.soa, s.block, mesh, s.ot, int32(me), &s.lv, s.tstarts, 0, ni)
-	d2 := time.Since(t2)
-	rec.Add(trace.Compute, d2)
-	if p > 1 {
-		rec.AddOverlap(d2)
-	}
-	if k := s.lv.Count(); k > 0 {
-		return fmt.Errorf("driver: %d interior-tile particles left rank %d in one step (displacement ring rx=%d ry=%d violated)", k, me, s.rx, s.ry)
-	}
-
-	// Finish: collect the shards the peers sent and absorb them.
-	t3 := time.Now()
-	comm.ExchangePtrFinish(s.c, s.sendPtrs, s.recvPtrs)
-	if onWire {
-		s.xbytes += s.c.TransportBytes() - wireBase
-	}
-	s.appendArrivals()
-	rec.Add(trace.Exchange, time.Since(t3))
-	s.classified = false
-	return nil
-}
-
 // ApplyEvents implements Substrate.
 func (s *blockSubstrate) ApplyEvents(es *eventState, step int) {
 	es.applySoA(s.cfg, step, s.soa, s.owns)
@@ -401,6 +288,9 @@ func (s *blockSubstrate) CheckOwnership(step int) error {
 // Particles implements Substrate. The returned slice is scratch, valid
 // until the next Particles call.
 func (s *blockSubstrate) Particles() []particle.Particle {
+	if cap(s.psScratch) < s.soa.Len() {
+		s.psScratch = make([]particle.Particle, 0, s.soa.Len())
+	}
 	s.psScratch = s.soa.AppendParticles(s.psScratch[:0])
 	return s.psScratch
 }

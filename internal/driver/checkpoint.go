@@ -6,7 +6,7 @@ package driver
 // schedule, seed) is not part of a checkpoint — a restoring rank rebuilds
 // it from its own Config and validates the checkpoint against it, exactly
 // like core.Simulation.Checkpoint. Derived state (materialized mesh blocks,
-// owner tables, tile plans, frontier masks) is likewise rebuilt rather than
+// owner tables, exchange schedules) is likewise rebuilt rather than
 // shipped: block charge data is formulaic, and the lookup structures are
 // pure functions of the cuts / VP placement that do travel.
 
@@ -33,8 +33,8 @@ func pupIntSlice(p *pup.PUPer, v *[]int) {
 // PUP implements pup.PUPable: the block substrate's dynamic state is the
 // cut arrays (the decomposition the balancer has evolved), the local SoA
 // particle container, and the migration/exchange accounting. Unpacking
-// reinstalls the cuts — rebuilding the mesh block, owner table, and tile
-// plan — before the restored particles are trusted.
+// reinstalls the cuts — rebuilding the mesh block, owner table, and
+// exchange schedule — before the restored particles are trusted.
 func (s *blockSubstrate) PUP(p *pup.PUPer) {
 	magic := blockCheckpointMagic
 	p.Uint64(&magic)
@@ -112,7 +112,8 @@ func (s *blockSubstrate) Restore(buf []byte) error { return pup.Unpack(s, buf) }
 // runtime's — the location table, the runtime stats, and every locally
 // hosted VP serialized through its own PUP routine (particles and grid data
 // column-wise, recycled shells on unpack) — plus the exchange accounting.
-// The frontier mask depends on VP placement and is rebuilt after restore.
+// The exchange schedule depends on VP placement and is rebuilt after
+// restore.
 func (s *vpSubstrate) PUP(p *pup.PUPer) {
 	magic := vpCheckpointMagic
 	p.Uint64(&magic)

@@ -83,17 +83,6 @@ type Config struct {
 	// default, GOMAXPROCS/ranks with a minimum of 1. Particle updates are
 	// independent, so results are bitwise identical at any worker count.
 	Workers int
-	// Tile controls the tile-pipelined step: each rank's sub-domain splits
-	// into boundary tiles (cells within one step's displacement of remote
-	// territory) and interior tiles of Tile×Tile cells; boundary tiles move
-	// first and their leavers go on the wire while the interior tiles are
-	// still computing. 0 selects the default tile edge (DefaultTile); a
-	// positive value sets the interior tile edge in cells (a value covering
-	// the whole sub-domain degenerates to one boundary + one interior
-	// tile); -1 disables the pipeline and runs the move and the exchange
-	// strictly in sequence, as before. Results are bitwise identical at any
-	// setting.
-	Tile int
 	// Telemetry enables the per-step timeline: every rank records one
 	// telemetry.Sample per step and rank 0's Result carries the merged
 	// Timeline. Off by default; the steady-state step then stays
@@ -171,28 +160,18 @@ func (cfg *Config) effectiveWorkers(ranks int) int {
 	return w
 }
 
-// DefaultTile is the interior tile edge used when Config.Tile is 0.
+// DefaultTile is the interior tile edge, in cells, of the tile plan that
+// core.TilePlan builds. The drivers do not tile; its only caller is the
+// benchmark's per-layer ladder, which times the tile sort with it.
 const DefaultTile = 8
-
-// effectiveTile resolves the tile edge (0 when the pipeline is disabled).
-func (cfg *Config) effectiveTile() int {
-	switch {
-	case cfg.Tile == -1:
-		return 0
-	case cfg.Tile == 0:
-		return DefaultTile
-	default:
-		return cfg.Tile
-	}
-}
 
 // ringWidths returns the per-axis displacement ring of the run: the maximum
 // distance, in cells, any particle can travel in one step. The closed-form
 // trajectories (core/verify.go) move a particle exactly (2K+1) cells in x
 // and M cells in y per step, so the ring is exact, not an estimate;
 // injected particles carry their event's own K and M, so the ring maxes
-// over the schedule too. The tile pipeline uses it to decide which cells
-// can reach remote territory within a step.
+// over the schedule too. The sparse exchange schedule uses it to decide
+// which peers a leaver can reach within a step.
 func (cfg *Config) ringWidths() (rx, ry int) {
 	rx = 2*cfg.K + 1
 	ry = cfg.M
@@ -237,9 +216,6 @@ func (cfg *Config) validate(p int) error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("driver: negative move worker count %d", cfg.Workers)
 	}
-	if cfg.Tile < -1 {
-		return fmt.Errorf("driver: invalid tile size %d (want -1, 0 or a positive edge)", cfg.Tile)
-	}
 	if cfg.TelemetryCap < 0 {
 		return fmt.Errorf("driver: negative telemetry ring cap %d", cfg.TelemetryCap)
 	}
@@ -268,10 +244,9 @@ type RankStats struct {
 	// moves, particle exchange, LB decisions (reductions + planning), and
 	// LB data movement (mesh or VP migration).
 	Compute, Exchange, Balance, Migrate time.Duration
-	// Overlap is the exchange time hidden behind compute by the tile
-	// pipeline: wall time of interior-tile moves that ran while the
-	// boundary exchange was in flight. It is included in Compute (the time
-	// was spent computing); Exchange holds only the exposed remainder.
+	// Overlap is the exchange time hidden behind compute. The step runs
+	// the move and the exchange in sequence, so it is always 0; the field
+	// stays because the telemetry and result schemas carry it.
 	Overlap time.Duration
 	// FinalParticles is the local particle count at the end of the run;
 	// MaxParticles the high-water mark over all steps (§V-B metric).
@@ -537,9 +512,10 @@ func distributedVerify(c *comm.Comm, cfg Config, ps []particle.Particle) error {
 }
 
 // gatherAndVerify collects every rank's particles at rank 0 and verifies
-// them against the closed-form solution. Ranks other than 0 return
-// (nil, true, nil). With cfg.DistributedVerify the gather is skipped and
-// the parallel verification runs instead.
+// them against the closed-form solution (cfg.Verify). Ranks other than 0
+// return (nil, true, nil). With cfg.DistributedVerify the gather is skipped
+// and the parallel verification runs instead. Callers skip it entirely
+// when neither is set: nothing reads an unverified gather.
 func gatherAndVerify(c *comm.Comm, cfg Config, ps []particle.Particle) ([]particle.Particle, bool, error) {
 	if cfg.DistributedVerify {
 		if err := distributedVerify(c, cfg, ps); err != nil {
@@ -556,9 +532,6 @@ func gatherAndVerify(c *comm.Comm, cfg Config, ps []particle.Particle) ([]partic
 		merged = append(merged, part...)
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
-	if !cfg.Verify {
-		return merged, false, nil
-	}
 	if err := core.Verify(cfg.distConfig(), cfg.Schedule, merged, cfg.Steps, cfg.Tol); err != nil {
 		return merged, false, fmt.Errorf("driver: verification failed: %w", err)
 	}
@@ -574,7 +547,6 @@ func collectResult(c *comm.Comm, name string, cfg Config, rec *trace.Recorder, n
 		Exchange:       rec.Get(trace.Exchange),
 		Balance:        rec.Get(trace.Balance),
 		Migrate:        rec.Get(trace.Migrate),
-		Overlap:        rec.Overlap(),
 		FinalParticles: nLocal,
 		MaxParticles:   rec.MaxParticles,
 		Migrations:     migrations,

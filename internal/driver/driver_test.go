@@ -2,11 +2,14 @@ package driver
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/parres/picprk/internal/ampi"
+	"github.com/parres/picprk/internal/comm"
 	"github.com/parres/picprk/internal/core"
+	"github.com/parres/picprk/internal/decomp"
 	"github.com/parres/picprk/internal/diffusion"
 	"github.com/parres/picprk/internal/dist"
 	"github.com/parres/picprk/internal/grid"
@@ -295,6 +298,106 @@ func TestDistributedVerify(t *testing.T) {
 		}
 		if res.Particles != nil {
 			t.Errorf("%s: distributed verification must not gather particles", run.name)
+		}
+	}
+}
+
+// TestUnverifiedRunSkipsGather: with neither Verify nor DistributedVerify
+// set, no driver gathers the final state — Particles is nil and Verified
+// false — while the particle accounting stays exact: every per-rank count
+// equals the verified run's.
+func TestUnverifiedRunSkipsGather(t *testing.T) {
+	cfg := testConfig(t, 16, 1500, 12)
+	cfg.Schedule = dist.Schedule{
+		{Step: 5, Region: dist.Rect{X0: 2, X1: 8, Y0: 2, Y1: 8}, Inject: 200, M: 1},
+	}
+	plain := cfg
+	plain.Verify = false
+	for di, d := range driverMatrix(4, plain) {
+		res, err := d.fn()
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if res.Particles != nil || res.Verified {
+			t.Fatalf("%s: unverified run returned %d particles, verified=%v; want nil, false",
+				d.name, len(res.Particles), res.Verified)
+		}
+		ref, err := driverMatrix(4, cfg)[di].fn()
+		if err != nil {
+			t.Fatalf("%s verified: %v", d.name, err)
+		}
+		if res.FinalParticles != len(ref.Particles) || res.MaxFinalParticles != ref.MaxFinalParticles {
+			t.Fatalf("%s: unverified totals %d/%d, verified %d/%d", d.name,
+				res.FinalParticles, res.MaxFinalParticles, len(ref.Particles), ref.MaxFinalParticles)
+		}
+		for r, st := range res.PerRank {
+			if st.FinalParticles != ref.PerRank[r].FinalParticles {
+				t.Fatalf("%s rank %d: %d particles unverified, %d verified", d.name, r,
+					st.FinalParticles, ref.PerRank[r].FinalParticles)
+			}
+		}
+	}
+}
+
+// TestBucketByVPMatchesOwnerFilter pins the VP substrate's one-pass initial
+// bucketing against the per-VP filter it replaces (scan the whole set once
+// per VP, keeping particles whose cell decomp assigns to that VP): same
+// particles, same order, for randomized mesh sizes, rank counts,
+// over-decomposition degrees and distributions, and nil buckets for VPs
+// hosted elsewhere.
+func TestBucketByVPMatchesOwnerFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 16; trial++ {
+		L := 2 * (4 + rng.Intn(30))
+		px, py := comm.Dims2D(1 + rng.Intn(4))
+		dx, dy := comm.Dims2D(1 + rng.Intn(8))
+		vx, vy := px*dx, py*dy
+		if vx > L || vy > L {
+			continue
+		}
+		mesh := grid.MustMesh(L, grid.DefaultCharge)
+		dists := []dist.Distribution{
+			dist.Uniform{},
+			dist.Geometric{R: 0.8 + 0.19*rng.Float64()},
+			dist.Sinusoidal{},
+			dist.Patch{X0: L / 4, X1: L/4 + 1 + rng.Intn(L/2), Y0: 0, Y1: 1 + rng.Intn(L)},
+		}
+		d := dists[rng.Intn(len(dists))]
+		all, err := dist.Initialize(dist.Config{Mesh: mesh, N: 200 + rng.Intn(3000), Dist: d, Seed: rng.Uint64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vg, err := decomp.NewUniform2D(L, vx, vy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nvp := vx * vy
+		parity := rng.Intn(2)
+		local := func(vp int) bool { return vp%2 == parity || nvp == 1 }
+		got := bucketByVP(mesh, core.NewOwnerTable(vg.X.Cuts, vg.Y.Cuts), nvp, all, local)
+		label := fmt.Sprintf("L=%d vps=%dx%d %s", L, vx, vy, d.Name())
+		for vp := 0; vp < nvp; vp++ {
+			if !local(vp) {
+				if got[vp] != nil {
+					t.Fatalf("%s: VP %d is hosted elsewhere but got a bucket of %d", label, vp, len(got[vp]))
+				}
+				continue
+			}
+			var want []particle.Particle
+			for i := range all {
+				cx, cy := mesh.CellOf(all[i].X, all[i].Y)
+				if vg.OwnerOfCell(cx, cy) == vp {
+					want = append(want, all[i])
+				}
+			}
+			if len(got[vp]) != len(want) {
+				t.Fatalf("%s: VP %d holds %d particles, want %d", label, vp, len(got[vp]), len(want))
+			}
+			for i := range want {
+				if got[vp][i] != want[i] {
+					t.Fatalf("%s: VP %d particle %d is %d, want %d", label, vp, i, got[vp][i].ID, want[i].ID)
+				}
+			}
 		}
 	}
 }

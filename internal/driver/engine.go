@@ -25,13 +25,6 @@ type Substrate interface {
 	// Exchange delivers boundary-crossing particles to their owners. It is
 	// collective and accounts its time as trace.Exchange on rec.
 	Exchange(rec *trace.Recorder) error
-	// MoveExchange runs the fused tile-pipelined step: boundary particles
-	// move first and their leavers go on the wire, interior particles move
-	// while the exchange is in flight. Results are bitwise identical to
-	// Move followed by Exchange; with Config.Tile == -1 it falls back to
-	// exactly that sequence. Compute/Exchange time splits are accounted on
-	// rec, plus the overlap credit (rec.AddOverlap).
-	MoveExchange(rec *trace.Recorder) error
 	// ApplyEvents fires the injection/removal events scheduled for step.
 	ApplyEvents(es *eventState, step int)
 	// Count returns the local particle count.
@@ -67,7 +60,7 @@ type Substrate interface {
 	// Restore replaces the rank's dynamic state with a Checkpoint blob
 	// taken on a substrate built from the identical Config (possibly in
 	// another process — the blob is self-describing and validated). Derived
-	// structures (owner tables, tile plans, frontier masks) are rebuilt.
+	// structures (owner tables, exchange schedules) are rebuilt.
 	Restore(buf []byte) error
 	// Close releases per-rank resources (the move worker pool). The engine
 	// calls it exactly once when the rank's pipeline exits.

@@ -31,9 +31,11 @@ package driver
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/parres/picprk/internal/balance"
 	"github.com/parres/picprk/internal/comm"
+	"github.com/parres/picprk/internal/particle"
 	"github.com/parres/picprk/internal/telemetry"
 	"github.com/parres/picprk/internal/trace"
 )
@@ -280,9 +282,9 @@ func (r *epochRunner) commit() error {
 	return nil
 }
 
-// oneStep is the per-step pipeline, verbatim from the pre-epoch engine:
-// move+exchange, events, the balancing cadence, the ownership invariant,
-// and sampling. It allocates nothing in the steady state.
+// oneStep is the per-step pipeline: move (timed as compute), exchange,
+// events, the balancing cadence, the ownership invariant, and sampling. It
+// allocates nothing in the steady state.
 func (r *epochRunner) oneStep(step int) error {
 	if hook := r.e.StepHook; hook != nil {
 		hook(r.c, step)
@@ -301,7 +303,10 @@ func (r *epochRunner) oneStep(step int) error {
 		}
 	}
 	decision := ""
-	if err := sub.MoveExchange(rec); err != nil {
+	start := time.Now()
+	sub.Move()
+	rec.Add(trace.Compute, time.Since(start))
+	if err := sub.Exchange(rec); err != nil {
 		return err
 	}
 	sub.ApplyEvents(&r.es, step)
@@ -351,19 +356,18 @@ func (r *epochRunner) oneStep(step int) error {
 		xbytes := sub.ExchangeBytes()
 		sent, elided := c.ExchangeMsgStats()
 		s := telemetry.Sample{
-			Step:            step,
-			Rank:            c.Rank(),
-			Phases:          rec.Snapshot(),
-			Particles:       sub.Count(),
-			Migrations:      migrations - r.prevMigrations,
-			Bytes:           bytes - r.prevBytes,
-			ExchangeBytes:   xbytes - r.prevXBytes,
-			ExchangeOverlap: rec.SnapshotOverlap(),
-			MsgsSent:        int(sent - r.prevMsgsSent),
-			MsgsElided:      int(elided - r.prevMsgsElided),
-			Decision:        decision,
-			WallStartNS:     r.lastWall,
-			ClockOffsetNS:   c.ClockOffsetNS(),
+			Step:          step,
+			Rank:          c.Rank(),
+			Phases:        rec.Snapshot(),
+			Particles:     sub.Count(),
+			Migrations:    migrations - r.prevMigrations,
+			Bytes:         bytes - r.prevBytes,
+			ExchangeBytes: xbytes - r.prevXBytes,
+			MsgsSent:      int(sent - r.prevMsgsSent),
+			MsgsElided:    int(elided - r.prevMsgsElided),
+			Decision:      decision,
+			WallStartNS:   r.lastWall,
+			ClockOffsetNS: c.ClockOffsetNS(),
 		}
 		r.prevMigrations, r.prevBytes, r.prevXBytes = migrations, bytes, xbytes
 		r.prevMsgsSent, r.prevMsgsElided = sent, elided
@@ -377,10 +381,14 @@ func (r *epochRunner) oneStep(step int) error {
 // assembles the Result, attaching the epoch lifecycle record (events and
 // recovery counters) when checkpointing was on.
 func (r *epochRunner) finalize() error {
-	ps := r.sub.Particles()
-	merged, verified, err := gatherAndVerify(r.c, r.cfg, ps)
-	if err != nil {
-		return err
+	var merged []particle.Particle
+	verified := false
+	if r.cfg.Verify || r.cfg.DistributedVerify {
+		var err error
+		merged, verified, err = gatherAndVerify(r.c, r.cfg, r.sub.Particles())
+		if err != nil {
+			return err
+		}
 	}
 	timeline := gatherTimeline(r.c, r.e.Name, r.cfg, r.ring)
 	if r.ring != nil {
@@ -393,12 +401,10 @@ func (r *epochRunner) finalize() error {
 	}
 	migrations, bytes := r.sub.MigrationStats()
 	r.rec.Migrations = migrations
-	res := collectResult(r.c, r.e.Name, r.cfg, r.rec, len(ps), bytes, r.sub.ExchangeBytes(), migrations)
+	res := collectResult(r.c, r.e.Name, r.cfg, r.rec, r.sub.Count(), bytes, r.sub.ExchangeBytes(), migrations)
 	if res != nil {
-		res.Verified = verified && (r.cfg.Verify || r.cfg.DistributedVerify)
-		if r.cfg.Verify {
-			res.Particles = merged
-		}
+		res.Verified = verified
+		res.Particles = merged
 		res.BalanceLog = r.bal.History()
 		res.Timeline = timeline
 		if st := r.e.store; st != nil {

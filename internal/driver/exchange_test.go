@@ -13,34 +13,22 @@ import (
 // into reused shards, pointer exchange, columnar append — performs zero
 // allocations, with the move pool both on its inline path (workers=1) and
 // genuinely parallel (workers=3, particle counts above the chunking
-// threshold), and both through the legacy Move→Exchange pair and the
-// tile-pipelined MoveExchange (counting sort, two-wave move, split
-// Start/Finish exchange). AllocsPerRun counts process-global mallocs, so
+// threshold). AllocsPerRun counts process-global mallocs, so
 // rank 0 measures while rank 1 runs the same number of steps in lockstep —
 // both ranks must therefore be allocation-free for the test to pass.
 func TestSteadyStateStepAllocationFree(t *testing.T) {
 	cases := []struct {
-		name      string
-		workers   int
-		pipelined bool
-		mk        func(c *comm.Comm, cfg Config) (Substrate, error)
+		name    string
+		workers int
+		mk      func(c *comm.Comm, cfg Config) (Substrate, error)
 	}{
-		{"block-pool-inline", 1, false, func(c *comm.Comm, cfg Config) (Substrate, error) {
+		{"block-pool-inline", 1, func(c *comm.Comm, cfg Config) (Substrate, error) {
 			return newBlockSubstrate(c, cfg, 2, 1)
 		}},
-		{"block-pool-active", 3, false, func(c *comm.Comm, cfg Config) (Substrate, error) {
+		{"block-pool-active", 3, func(c *comm.Comm, cfg Config) (Substrate, error) {
 			return newBlockSubstrate(c, cfg, 2, 1)
 		}},
-		{"vp", 1, false, func(c *comm.Comm, cfg Config) (Substrate, error) {
-			return newVPSubstrate(c, cfg, 4)
-		}},
-		{"block-pipelined-inline", 1, true, func(c *comm.Comm, cfg Config) (Substrate, error) {
-			return newBlockSubstrate(c, cfg, 2, 1)
-		}},
-		{"block-pipelined-active", 3, true, func(c *comm.Comm, cfg Config) (Substrate, error) {
-			return newBlockSubstrate(c, cfg, 2, 1)
-		}},
-		{"vp-pipelined", 1, true, func(c *comm.Comm, cfg Config) (Substrate, error) {
+		{"vp", 1, func(c *comm.Comm, cfg Config) (Substrate, error) {
 			return newVPSubstrate(c, cfg, 4)
 		}},
 	}
@@ -60,15 +48,9 @@ func TestSteadyStateStepAllocationFree(t *testing.T) {
 				defer s.Close()
 				rec := &trace.Recorder{}
 				step := func() {
-					if tc.pipelined {
-						if err := s.MoveExchange(rec); err != nil {
-							panic(err)
-						}
-					} else {
-						s.Move()
-						if err := s.Exchange(rec); err != nil {
-							panic(err)
-						}
+					s.Move()
+					if err := s.Exchange(rec); err != nil {
+						panic(err)
 					}
 					if s.Count() == 0 {
 						panic("no local particles — the step under test is trivial")

@@ -289,7 +289,8 @@ func TestSubstrateCheckpointRoundTrip(t *testing.T) {
 				defer s.Close()
 				rec := &trace.Recorder{}
 				for i := 0; i < 5; i++ {
-					if err := s.MoveExchange(rec); err != nil {
+					s.Move()
+					if err := s.Exchange(rec); err != nil {
 						return err
 					}
 				}
@@ -319,10 +320,12 @@ func TestSubstrateCheckpointRoundTrip(t *testing.T) {
 				// Restored substrate keeps stepping in lockstep with the
 				// original — derived structures were rebuilt correctly.
 				for i := 0; i < 3; i++ {
-					if err := s.MoveExchange(rec); err != nil {
+					s.Move()
+					if err := s.Exchange(rec); err != nil {
 						return err
 					}
-					if err := fresh.MoveExchange(rec); err != nil {
+					fresh.Move()
+					if err := fresh.Exchange(rec); err != nil {
 						return err
 					}
 				}

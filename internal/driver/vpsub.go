@@ -139,21 +139,6 @@ type vpSubstrate struct {
 	// placement, refreshed after every migration.
 	peerBytes, peerMsgs []int64
 	nbr                 core.NbrSet
-
-	// Tile pipeline state (tileSize == 0 disables the pipeline). The VP
-	// substrate splits each VP's particles into an interior head and a
-	// frontier tail against a global frontier mask — a cell is frontier
-	// when one step could carry a particle from it into a VP hosted on
-	// another core — rather than tiling inside the (small) VP rectangles.
-	// frontier depends on VP placement and is rebuilt after every Migrate.
-	tileSize    int
-	rx, ry      int
-	frontier    core.Frontier
-	tid         []int32
-	pstarts     [3]int32
-	pcur        [2]int32
-	vni         []int
-	sortScratch *core.SoA
 }
 
 func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, error) {
@@ -179,6 +164,8 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 	if err != nil {
 		return nil, err
 	}
+	vot := core.NewOwnerTable(vg.X.Cuts, vg.Y.Cuts)
+	buckets := bucketByVP(cfg.Mesh, vot, vx*vy, all, func(vp int) bool { return place(vp) == c.Rank() })
 	makeLocal := func(vp int) ampi.VP {
 		x0, y0, nx, ny := vg.RankRect(vp)
 		block, err := grid.NewBlock(cfg.Mesh, x0, y0, nx, ny)
@@ -186,21 +173,7 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 			panic(err) // static decomposition of a validated mesh cannot fail
 		}
 		v := &picVP{id: vp, mesh: cfg.Mesh, x0: x0, y0: y0, nx: nx, ny: ny, block: block}
-		n := 0
-		for i := range all {
-			cx, cy := cfg.Mesh.CellOf(all[i].X, all[i].Y)
-			if vg.OwnerOfCell(cx, cy) == vp {
-				n++
-			}
-		}
-		ps := make([]particle.Particle, 0, n)
-		for i := range all {
-			cx, cy := cfg.Mesh.CellOf(all[i].X, all[i].Y)
-			if vg.OwnerOfCell(cx, cy) == vp {
-				ps = append(ps, all[i])
-			}
-		}
-		v.soa = core.NewSoA(ps)
+		v.soa = core.NewSoA(buckets[vp])
 		return v
 	}
 	rt, err := ampi.NewRuntime(c, vx*vy, place, makeLocal, func() ampi.VP { return &picVP{} })
@@ -208,36 +181,49 @@ func newVPSubstrate(c *comm.Comm, cfg Config, overdecompose int) (*vpSubstrate, 
 		return nil, err
 	}
 	pool := core.NewMovePool(cfg.effectiveWorkers(c.Size()))
-	s := &vpSubstrate{
-		c: c, cfg: cfg, vg: vg, rt: rt, pool: pool,
-		vot: core.NewOwnerTable(vg.X.Cuts, vg.Y.Cuts),
-	}
-	s.tileSize = cfg.effectiveTile()
-	s.rx, s.ry = cfg.ringWidths()
+	s := &vpSubstrate{c: c, cfg: cfg, vg: vg, rt: rt, pool: pool, vot: vot}
 	s.peerBytes = make([]int64, p)
 	s.peerMsgs = make([]int64, p)
-	if s.tileSize > 0 {
-		s.sortScratch = &core.SoA{}
-	}
 	s.rebuildTopology()
 	return s, nil
 }
 
-// rebuildTopology recomputes everything derived from VP placement: the
-// frontier mask (when the pipeline is on — remote means the owning VP is
-// hosted on another core) and the sparse exchange schedule over hosting
-// cores. Called at construction, after every migration, and after a
-// checkpoint restore. A migration does not rehome particles, but it does
-// put the pre-migration schedule's pointers in flight, so installing the
-// refreshed schedule arms comm's full-ring fence.
-func (s *vpSubstrate) rebuildTopology() {
-	me := s.c.Rank()
-	if s.tileSize > 0 {
-		s.frontier.Rebuild(s.vot, s.cfg.Mesh.L, s.rx, s.ry, func(o int32) bool {
-			return s.rt.Location(int(o)) != me
-		})
+// bucketByVP splits the replicated initial particle set by owning VP in one
+// stable pass over the dense owner table: bucket vp holds, in their original
+// order, the particles whose cell ot assigns to vp. Only VPs for which local
+// reports true get a bucket; the rest stay nil.
+func bucketByVP(m grid.Mesh, ot *core.OwnerTable, nvp int, all []particle.Particle, local func(vp int) bool) [][]particle.Particle {
+	owner := make([]int32, len(all))
+	counts := make([]int, nvp)
+	for i := range all {
+		cx, cy := m.CellOf(all[i].X, all[i].Y)
+		owner[i] = ot.Owner(cx, cy)
+		counts[owner[i]]++
 	}
-	peers := s.nbr.Rebuild(s.vot, s.cfg.Mesh.L, s.rx, s.ry, me, s.c.Size(),
+	buckets := make([][]particle.Particle, nvp)
+	keep := make([]bool, nvp)
+	for vp := range buckets {
+		if keep[vp] = local(vp); keep[vp] {
+			buckets[vp] = make([]particle.Particle, 0, counts[vp])
+		}
+	}
+	for i, vp := range owner {
+		if keep[vp] {
+			buckets[vp] = append(buckets[vp], all[i])
+		}
+	}
+	return buckets
+}
+
+// rebuildTopology recomputes the sparse exchange schedule over hosting
+// cores from the VP owner table and the current placement. Called at
+// construction, after every migration, and after a checkpoint restore. A
+// migration does not rehome particles, but it does put the pre-migration
+// schedule's pointers in flight, so installing the refreshed schedule arms
+// comm's full-ring fence.
+func (s *vpSubstrate) rebuildTopology() {
+	rx, ry := s.cfg.ringWidths()
+	peers := s.nbr.Rebuild(s.vot, s.cfg.Mesh.L, rx, ry, s.c.Rank(), s.c.Size(),
 		func(o int32) int { return s.rt.Location(int(o)) })
 	s.c.SetExchangeNeighbors(peers)
 }
@@ -345,149 +331,6 @@ func (s *vpSubstrate) nextLists() [][]vpColParcel {
 	return lists
 }
 
-// MoveExchange implements Substrate: the tile-pipelined step on the
-// over-decomposed substrate. Each VP's particles are partitioned against
-// the global frontier mask into an interior head and a frontier tail
-// (per-cell, not per-VP — with over-decomposition most VPs touch a remote
-// core's territory somewhere, but only a band of their cells can actually
-// reach it in one step). The frontier tails of every local VP move first
-// and their leavers go on the wire; the interior heads move while the
-// parcels are in flight. Interior leavers are legal here — a particle may
-// hop to another VP hosted on this same core — but an interior leaver
-// bound for a remote core would mean the displacement ring is wrong, and
-// is a hard error: its shard may already be in flight.
-func (s *vpSubstrate) MoveExchange(rec *trace.Recorder) error {
-	if s.tileSize == 0 {
-		start := time.Now()
-		s.Move()
-		rec.Add(trace.Compute, time.Since(start))
-		return s.Exchange(rec)
-	}
-	mesh, p, me := s.cfg.Mesh, s.c.Size(), s.c.Rank()
-
-	// Wave 1: partition each VP and move its frontier tail.
-	t0 := time.Now()
-	cols := s.shards.next(s.rt.NumVPs())
-	s.cur = cols
-	ids := s.rt.LocalIDs()
-	if cap(s.vni) < len(ids) {
-		s.vni = make([]int, len(ids))
-	}
-	vni := s.vni[:len(ids)]
-	for k, id := range ids {
-		v := s.rt.Local(id).(*picVP)
-		n := v.soa.Len()
-		if cap(s.tid) < n {
-			s.tid = make([]int32, n)
-		}
-		tid := s.tid[:n]
-		for i := 0; i < n; i++ {
-			cx, cy := mesh.CellOf(v.soa.X[i], v.soa.Y[i])
-			if s.frontier.At(cx, cy) {
-				tid[i] = 1
-			} else {
-				tid[i] = 0
-			}
-		}
-		core.SortByTile(s.sortScratch, v.soa, tid, 2, s.pstarts[:], s.pcur[:])
-		v.soa, s.sortScratch = s.sortScratch, v.soa
-		vni[k] = int(s.pstarts[1])
-		s.pool.MoveClassifyRange(v.soa, vni[k], n, v.block, mesh, s.vot, int32(id), &s.lv)
-		v.soa.ScatterRemove(&s.lv, cols)
-	}
-	rec.Add(trace.Compute, time.Since(t0))
-
-	// Ship the remote-bound shards. Shards for VPs hosted on this core stay
-	// local and deliver after both waves (wave 2 may still add to them).
-	t1 := time.Now()
-	lists := s.nextLists()
-	for vp := range cols {
-		sh := &cols[vp]
-		if sh.Len() == 0 {
-			continue
-		}
-		if dst := s.rt.Location(vp); dst != me {
-			lists[dst] = append(lists[dst], vpColParcel{VP: vp, Cols: sh})
-		}
-	}
-	if len(s.sendPtrs) != p {
-		s.sendPtrs = make([]*[]vpColParcel, p)
-		s.recvPtrs = make([]*[]vpColParcel, p)
-	}
-	onWire := s.c.OnWire()
-	for dst := range lists {
-		if dst == me || len(lists[dst]) == 0 {
-			s.sendPtrs[dst] = nil
-			continue
-		}
-		s.sendPtrs[dst] = &lists[dst]
-		s.peerMsgs[dst]++
-		for _, pc := range lists[dst] {
-			s.peerBytes[dst] += pc.Cols.FramedBytes()
-			if !onWire {
-				s.xbytes += pc.Cols.FramedBytes()
-			}
-		}
-	}
-	var wireBase int64
-	if onWire {
-		wireBase = s.c.TransportBytes()
-	}
-	comm.ExchangePtrStart(s.c, s.sendPtrs)
-	rec.Add(trace.Exchange, time.Since(t1))
-
-	// Wave 2: interior heads, overlapped with the in-flight exchange.
-	t2 := time.Now()
-	for k, id := range ids {
-		v := s.rt.Local(id).(*picVP)
-		s.pool.MoveClassifyRange(v.soa, 0, vni[k], v.block, mesh, s.vot, int32(id), &s.lv)
-		for w := 0; w < s.lv.Chunks(); w++ {
-			_, ds := s.lv.Chunk(w)
-			for _, d := range ds {
-				if s.rt.Location(int(d)) != me {
-					return fmt.Errorf("driver: interior particle of VP %d left for remote-hosted VP %d in one step (displacement ring rx=%d ry=%d violated)", id, d, s.rx, s.ry)
-				}
-			}
-		}
-		v.soa.ScatterRemove(&s.lv, cols)
-	}
-	d2 := time.Since(t2)
-	rec.Add(trace.Compute, d2)
-	if p > 1 {
-		rec.AddOverlap(d2)
-	}
-
-	// Finish: remote arrivals, then the local shards from both waves.
-	t3 := time.Now()
-	comm.ExchangePtrFinish(s.c, s.sendPtrs, s.recvPtrs)
-	if onWire {
-		s.xbytes += s.c.TransportBytes() - wireBase
-	}
-	for src := 0; src < p; src++ {
-		if src == me {
-			continue
-		}
-		if lp := s.recvPtrs[src]; lp != nil {
-			if err := s.deliverParcels(*lp); err != nil {
-				return err
-			}
-		}
-	}
-	for vp := range cols {
-		sh := &cols[vp]
-		if sh.Len() == 0 || s.rt.Location(vp) != me {
-			continue
-		}
-		avp := s.rt.Local(vp)
-		if avp == nil {
-			return fmt.Errorf("driver: local shard for VP %d on core %d which does not host it", vp, me)
-		}
-		avp.(*picVP).soa.AppendColumns(sh)
-	}
-	rec.Add(trace.Exchange, time.Since(t3))
-	return nil
-}
-
 // ApplyEvents implements Substrate: removal per VP; injections routed to
 // the owning VP if hosted locally.
 func (s *vpSubstrate) ApplyEvents(es *eventState, step int) {
@@ -576,6 +419,9 @@ func (s *vpSubstrate) CheckOwnership(step int) error {
 // Particles implements Substrate. The returned slice is scratch, valid
 // until the next Particles call.
 func (s *vpSubstrate) Particles() []particle.Particle {
+	if n := s.Count(); cap(s.psScratch) < n {
+		s.psScratch = make([]particle.Particle, 0, n)
+	}
 	s.psScratch = s.psScratch[:0]
 	for _, id := range s.rt.LocalIDs() {
 		s.psScratch = s.rt.Local(id).(*picVP).soa.AppendParticles(s.psScratch)

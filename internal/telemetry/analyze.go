@@ -30,7 +30,7 @@ type StepStat struct {
 	Bytes         int64
 	ExchangeBytes int64
 	// Overlap sums the compute-while-exchange-in-flight time over ranks
-	// (the tile pipeline's hidden exchange; see Sample.ExchangeOverlap).
+	// (see Sample.ExchangeOverlap).
 	Overlap time.Duration
 	// Decision is the balancer decision executed this step, if any.
 	Decision string

@@ -46,10 +46,10 @@ type Sample struct {
 	// (core.Columns.FramedBytes), not a per-particle serialization estimate.
 	ExchangeBytes int64
 	// ExchangeOverlap is the compute time this step spent while an exchange
-	// was in flight (the tile pipeline's interior wave). It is not a phase:
-	// the same wall time is already inside Phases[trace.Compute]. The ratio
-	// overlap/(overlap+exchange) is how much of the exchange the pipeline
-	// hid behind compute.
+	// was in flight. It is not a phase: the same wall time is already inside
+	// Phases[trace.Compute]. The drivers run the move and the exchange in
+	// sequence, so it is 0; it stays in the schema (v3) so timelines
+	// recorded with the removed tile pipeline still read.
 	ExchangeOverlap time.Duration
 	// MsgsSent is the number of exchange messages this rank posted this
 	// step (delta); MsgsElided is the number the sparse neighbor schedule

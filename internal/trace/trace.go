@@ -73,13 +73,6 @@ type Recorder struct {
 	// stepBase holds the cumulative durations at the last StartStep call;
 	// Snapshot reports the delta against it.
 	stepBase [numPhases]time.Duration
-	// overlap accumulates exchange time hidden behind compute: wall time
-	// spent computing while an exchange was in flight (the tile pipeline's
-	// interior wave). It is not a phase — the same wall time is already
-	// charged to Compute — but a parallel account of how much of the
-	// exchange the pipeline hid. stepBaseOverlap mirrors stepBase.
-	overlap         time.Duration
-	stepBaseOverlap time.Duration
 	// MaxParticles tracks the high-water mark of local particle count, the
 	// §V-B metric.
 	MaxParticles int
@@ -110,18 +103,10 @@ func (r *Recorder) Total() time.Duration {
 	return t
 }
 
-// AddOverlap credits compute wall time that ran while an exchange was in
-// flight (see the overlap field).
-func (r *Recorder) AddOverlap(d time.Duration) { r.overlap += d }
-
-// Overlap returns the accumulated hidden-exchange time.
-func (r *Recorder) Overlap() time.Duration { return r.overlap }
-
 // StartStep marks the beginning of a step for Snapshot accounting. It is
 // allocation-free, so per-step telemetry can call it unconditionally.
 func (r *Recorder) StartStep() {
 	r.stepBase = r.durations
-	r.stepBaseOverlap = r.overlap
 }
 
 // Snapshot returns the per-phase durations accumulated since the last
@@ -133,12 +118,6 @@ func (r *Recorder) Snapshot() PhaseDurations {
 		d[i] = r.durations[i] - r.stepBase[i]
 	}
 	return d
-}
-
-// SnapshotOverlap returns the hidden-exchange time accumulated since the
-// last StartStep call. Allocation-free, like Snapshot.
-func (r *Recorder) SnapshotOverlap() time.Duration {
-	return r.overlap - r.stepBaseOverlap
 }
 
 // ObserveParticles updates the particle high-water mark.
