@@ -8,13 +8,19 @@ import (
 	"github.com/parres/picprk/internal/dist"
 )
 
-// TestTilePipelineBitwiseMatrix is the determinism matrix of the tile
-// pipeline: every driver must produce bitwise the same final state and the
-// same balance log at every tile setting — the pipeline disabled (-1), one
-// covering tile (degenerate boundary+interior split), the default, and a
-// small edge (many tiles) — crossed with worker counts, all against the
-// sequential reference. The tile split changes only the order in which
-// independent particle updates run, so any divergence is a routing bug.
+// The two tests in this file keep the names they had when the step was
+// tile-pipelined (DESIGN.md §5 item 7). The step is now one Move followed
+// by one Exchange; what they still pin is that the step's result does not
+// depend on how the move is split across workers or where the exchange
+// payload travels.
+
+// TestTilePipelineBitwiseMatrix: every driver must produce bitwise the same
+// final state as the sequential reference, and the same balance log, at
+// workers ∈ {1,2,7}, across an injection (step 9) and a removal (step 21).
+// The worker split changes only the order in which independent particle
+// updates run, so any divergence is a routing bug. The drivers run with
+// driverMatrix's parameters (two-phase diffusion), not the ones
+// TestWorkerCountBitwiseMatrix uses.
 func TestTilePipelineBitwiseMatrix(t *testing.T) {
 	cfg := testConfig(t, 16, 4000, 30)
 	cfg.Schedule = dist.Schedule{
@@ -25,42 +31,34 @@ func TestTilePipelineBitwiseMatrix(t *testing.T) {
 	const p = 2
 	for di := range driverMatrix(p, cfg) {
 		name := driverMatrix(p, cfg)[di].name
-		// The unpipelined run anchors the balance-log comparison.
-		legacyCfg := cfg
-		legacyCfg.Tile = -1
-		legacy, err := driverMatrix(p, legacyCfg)[di].fn()
-		if err != nil {
-			t.Fatalf("%s tile=-1: %v", name, err)
-		}
-		assertBitwiseEqual(t, ref, legacy.Particles, name+" tile=-1")
-		for _, tile := range []int{0, 64, 2} {
-			for _, workers := range []int{1, 2, 7} {
-				c := cfg
-				c.Tile = tile
-				c.Workers = workers
-				res, err := driverMatrix(p, c)[di].fn()
-				if err != nil {
-					t.Fatalf("%s tile=%d workers=%d: %v", name, tile, workers, err)
-				}
-				if !res.Verified {
-					t.Fatalf("%s tile=%d workers=%d: not verified", name, tile, workers)
-				}
-				label := fmt.Sprintf("%s tile=%d workers=%d", name, tile, workers)
-				assertBitwiseEqual(t, ref, res.Particles, label)
-				if !reflect.DeepEqual(legacy.BalanceLog, res.BalanceLog) {
-					t.Fatalf("%s: balance log diverged from unpipelined run:\ntile=-1: %q\ngot:     %q",
-						label, legacy.BalanceLog, res.BalanceLog)
-				}
+		var firstLog []string
+		for i, workers := range []int{1, 2, 7} {
+			c := cfg
+			c.Workers = workers
+			res, err := driverMatrix(p, c)[di].fn()
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !res.Verified {
+				t.Fatalf("%s workers=%d: not verified", name, workers)
+			}
+			label := fmt.Sprintf("%s workers=%d", name, workers)
+			assertBitwiseEqual(t, ref, res.Particles, label)
+			if i == 0 {
+				firstLog = res.BalanceLog
+			} else if !reflect.DeepEqual(firstLog, res.BalanceLog) {
+				t.Fatalf("%s: balance log diverged from workers=1:\nworkers=1: %q\ngot:       %q",
+					label, firstLog, res.BalanceLog)
 			}
 		}
 	}
 }
 
-// TestTilePipelineWireIdentity runs the pipelined step over real sockets:
-// the Start/Finish exchange split must survive serialization and framing
-// with bitwise-identical results, for the block and the VP substrate. This
-// is also the test CI runs under -race to exercise the overlap between the
-// transport goroutines and the interior move wave.
+// TestTilePipelineWireIdentity runs the step over real sockets with two
+// move workers per rank: the exchange must survive serialization and
+// framing with a state bitwise equal to the sequential reference, for the
+// block and the VP substrate. CI runs it under -race, so the pool's worker
+// goroutines run alongside the transport's.
 func TestTilePipelineWireIdentity(t *testing.T) {
 	const p = 4
 	cfg := testConfig(t, 16, 900, 16)
@@ -68,7 +66,6 @@ func TestTilePipelineWireIdentity(t *testing.T) {
 		{Step: 5, Region: dist.Rect{X0: 2, X1: 10, Y0: 2, Y1: 10}, Inject: 200, M: 1},
 	}
 	cfg.Workers = 2
-	cfg.Tile = 4
 	ref := sequentialReference(t, cfg)
 	for di := range driverMatrix(p, cfg) {
 		if di == 1 || di == 2 {
@@ -84,60 +81,6 @@ func TestTilePipelineWireIdentity(t *testing.T) {
 		if !res.Verified {
 			t.Fatalf("%s over tcp: not verified", name)
 		}
-		assertBitwiseEqual(t, ref, res.Particles, name+" tile pipeline over tcp")
-	}
-}
-
-// TestTilePipelineReportsOverlap asserts the overlap metric is actually
-// produced on a multi-rank pipelined run: some step of some rank must spend
-// compute time while an exchange is in flight, the per-rank totals must
-// surface in RankStats, and the timeline samples must sum to them.
-func TestTilePipelineReportsOverlap(t *testing.T) {
-	cfg := testConfig(t, 32, 8000, 20)
-	cfg.Telemetry = true
-	res, err := RunBaseline(4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total, sampled int64
-	for _, st := range res.PerRank {
-		total += st.Overlap.Nanoseconds()
-	}
-	if total == 0 {
-		t.Fatal("pipelined 4-rank run reported zero exchange overlap")
-	}
-	for _, s := range res.Timeline.Samples {
-		sampled += s.ExchangeOverlap.Nanoseconds()
-	}
-	if sampled != total {
-		t.Fatalf("timeline overlap sums to %d ns, RankStats to %d ns", sampled, total)
-	}
-
-	// The unpipelined and single-rank runs must report none.
-	for _, tc := range []struct {
-		name string
-		p    int
-		tile int
-	}{{"tile=-1", 4, -1}, {"p=1", 1, 0}} {
-		c := cfg
-		c.Tile = tc.tile
-		r, err := RunBaseline(tc.p, c)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for rank, st := range r.PerRank {
-			if st.Overlap != 0 {
-				t.Fatalf("%s: rank %d reports overlap %v, want 0", tc.name, rank, st.Overlap)
-			}
-		}
-	}
-}
-
-// TestTileValidation pins the config check for the tile knob.
-func TestTileValidation(t *testing.T) {
-	cfg := testConfig(t, 8, 100, 2)
-	cfg.Tile = -2
-	if _, err := RunBaseline(2, cfg); err == nil {
-		t.Fatal("tile=-2 accepted")
+		assertBitwiseEqual(t, ref, res.Particles, name+" over tcp")
 	}
 }
